@@ -17,32 +17,25 @@
 //!
 //! Here `--scale` is the absolute RMAT scale (not a shift as elsewhere).
 
-use bench::{Checkpoint, Cli, CostGate, Exporter, RaceGate, ReplayGate, Sanitizer, SpecGate, bench_machine, bench_machine_topo};
-use updown_apps::baseline;
+use bench::{bench_machine, Cli, Exporter, Instruments, StdOpts};
 use updown_apps::bfs::{run_bfs, BfsConfig};
 use updown_apps::pagerank::{run_pagerank, PrConfig};
 use updown_apps::tc::{run_tc, TcConfig};
+use updown_apps::{baseline, bfs, pagerank, tc};
 use updown_graph::generators::{rmat, RmatParams};
 use updown_graph::preprocess::{dedup_sort, split_in_out};
 use updown_graph::{algorithms, Csr};
 
 fn main() {
     let cli = Cli::parse();
+    let opts = StdOpts::parse(&cli, (16, 16), (0, 0));
     let scale: u32 = cli.get("scale", 14);
-    let nodes: u32 = cli.get("nodes", 16);
-    let seed: u64 = cli.get("seed", 0);
-    let sim_threads: u32 = cli.get("threads", 1).max(1);
-    let topology = bench::cli::parse_topology(&cli);
-    let san = Sanitizer::from_cli(&cli);
-    let rg = RaceGate::from_cli(&cli);
-    let spg = SpecGate::from_cli(&cli);
-    let ck = Checkpoint::from_cli(&cli);
-    let rp = ReplayGate::from_cli(&cli);
-    let cg = CostGate::from_cli(&cli);
+    let nodes = opts.max_nodes;
+    let mut ins = Instruments::from_cli(&cli);
     let mut ex = Exporter::from_cli(&cli);
     let threads = std::thread::available_parallelism().map(|x| x.get()).unwrap_or(4);
 
-    let el = dedup_sort(rmat(scale, RmatParams::default(), 48 ^ seed));
+    let el = dedup_sort(rmat(scale, RmatParams::default(), 48 ^ opts.seed));
     let g = Csr::from_edges(&el);
     let mut gu = Csr::from_edges(&dedup_sort(el.clone().symmetrize()));
     gu.sort_neighbors();
@@ -64,16 +57,9 @@ fn main() {
     // ---- PageRank: giga-updates/second ---------------------------------
     let sg = split_in_out(&g, 512);
     let mut pc = PrConfig::new(nodes);
-    pc.machine = bench_machine_topo(nodes, sim_threads, topology);
-    bench::cli::sched_knobs(&cli, &mut pc.machine);
-    san.arm("pr", &mut pc.machine);
-    rg.arm("pr", &mut pc.machine);
-    spg.arm("pr", &updown_apps::pagerank::spec(), &mut pc.machine);
-    ck.arm(&mut pc.machine);
-    rp.arm(&mut pc.machine);
+    pc.machine = opts.machine(nodes);
     pc.iterations = 2;
-    let w = cg.enabled().then(|| updown_apps::pagerank::workload(&sg, &pc));
-    cg.arm("pr", &updown_apps::pagerank::spec(), w, &mut pc.machine);
+    ins.arm("pr", &pagerank::spec(), |c| pagerank::workload(&sg, c), &mut pc);
     pc.trace = ex.want_trace();
     let pr = run_pagerank(&sg, &pc);
     ex.export("pr", &pr.report, pr.trace_json.as_deref());
@@ -96,15 +82,8 @@ fn main() {
 
     // ---- BFS: giga-traversed-edges/second --------------------------------
     let mut bc = BfsConfig::new(nodes, 0);
-    bc.machine = bench_machine_topo(nodes, sim_threads, topology);
-    bench::cli::sched_knobs(&cli, &mut bc.machine);
-    san.arm("bfs", &mut bc.machine);
-    rg.arm("bfs", &mut bc.machine);
-    spg.arm("bfs", &updown_apps::bfs::spec(), &mut bc.machine);
-    ck.arm(&mut bc.machine);
-    rp.arm(&mut bc.machine);
-    let w = cg.enabled().then(|| updown_apps::bfs::workload(&gu, &bc));
-    cg.arm("bfs", &updown_apps::bfs::spec(), w, &mut bc.machine);
+    bc.machine = opts.machine(nodes);
+    ins.arm("bfs", &bfs::spec(), |c| bfs::workload(&gu, c), &mut bc);
     let bfs = run_bfs(&gu, &bc);
     assert_eq!(bfs.dist, algorithms::bfs(&gu, 0));
     let ud_gteps = bfs.gteps(&bc.machine);
@@ -121,15 +100,8 @@ fn main() {
 
     // ---- TC: edges/second ---------------------------------------------------
     let mut tcfg = TcConfig::new(nodes);
-    tcfg.machine = bench_machine_topo(nodes, sim_threads, topology);
-    bench::cli::sched_knobs(&cli, &mut tcfg.machine);
-    san.arm("tc", &mut tcfg.machine);
-    rg.arm("tc", &mut tcfg.machine);
-    spg.arm("tc", &updown_apps::tc::spec(), &mut tcfg.machine);
-    ck.arm(&mut tcfg.machine);
-    rp.arm(&mut tcfg.machine);
-    let w = cg.enabled().then(|| updown_apps::tc::workload(&gu, &tcfg));
-    cg.arm("tc", &updown_apps::tc::spec(), w, &mut tcfg.machine);
+    tcfg.machine = opts.machine(nodes);
+    ins.arm("tc", &tc::spec(), |c| tc::workload(&gu, c), &mut tcfg);
     let tc = run_tc(&gu, &tcfg);
     let ud_eps = gu.m() as f64 / tcfg.machine.ticks_to_seconds(tc.final_tick) / 1e9;
     let (host_tc, host_secs) = baseline::time(|| baseline::tc_parallel(&gu, threads));
@@ -147,8 +119,5 @@ fn main() {
          512-node runs report 39,617 GUPS (PR) and 35,700 GTEPS (BFS) vs\n\
          Perlmutter/EOS — the shape to reproduce is the orders-of-magnitude gap)"
     );
-    let dirty = san.dirty();
-    if rg.dirty() || spg.dirty() || rp.dirty() || cg.dirty() || dirty {
-        std::process::exit(1);
-    }
+    ins.finish();
 }

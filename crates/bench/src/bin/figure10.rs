@@ -9,9 +9,9 @@
 //!     [--trace out.trace.json] [--metrics-json out.metrics.json]
 //! ```
 
-use bench::{Checkpoint, Cli, CostGate, Exporter, RaceGate, ReplayGate, Sanitizer, SpecGate, StdOpts, node_sweep};
+use bench::{node_sweep, Cli, Exporter, Instruments, StdOpts};
 use updown_apps::harness::{print_speedup_table, Series};
-use updown_apps::ingest::{datagen, run_ingest, IngestConfig};
+use updown_apps::ingest::{self, datagen, run_ingest, IngestConfig};
 
 fn main() {
     let cli = Cli::parse();
@@ -19,12 +19,7 @@ fn main() {
     let full = opts.full;
     let base: usize = cli.get("base-records", if full { 400_000 } else { 60_000 });
     let nodes = node_sweep(opts.max_nodes);
-    let san = Sanitizer::from_cli(&cli);
-    let rg = RaceGate::from_cli(&cli);
-    let spg = SpecGate::from_cli(&cli);
-    let ck = Checkpoint::from_cli(&cli);
-    let rp = ReplayGate::from_cli(&cli);
-    let cg = CostGate::from_cli(&cli);
+    let mut ins = Instruments::from_cli(&cli);
     let mut ex = Exporter::from_cli(&cli);
 
     println!("Figure 10 reproduction — ingestion scaling (records = {base} x multiplier)");
@@ -40,25 +35,20 @@ fn main() {
         for &n in &nodes {
             let mut cfg = IngestConfig::new(n);
             cfg.machine = opts.machine(n);
-            san.arm(&format!("ingest {label} nodes={n}"), &mut cfg.machine);
-            rg.arm(&format!("ingest {label} nodes={n}"), &mut cfg.machine);
-            spg.arm(&format!("ingest {label} nodes={n}"), &updown_apps::ingest::spec(), &mut cfg.machine);
-            ck.arm(&mut cfg.machine);
-            rp.arm(&mut cfg.machine);
-            let w = cg.enabled().then(|| updown_apps::ingest::workload(&ds, &cfg));
-            cg.arm(&format!("ingest {label} nodes={n}"), &updown_apps::ingest::spec(), w, &mut cfg.machine);
+            let run = format!("ingest {label} nodes={n}");
+            ins.arm(&run, &ingest::spec(), |c| ingest::workload(&ds, c), &mut cfg);
             cfg.trace = ex.want_trace();
             let t0 = std::time::Instant::now();
             let r = run_ingest(&ds, &cfg);
             let secs = t0.elapsed().as_secs_f64();
-            ex.export(&format!("ingest {label} nodes={n}"), &r.report, r.trace_json.as_deref());
+            ex.export(&run, &r.report, r.trace_json.as_deref());
             eprintln!(
                 "  {label} nodes={n}: {} ticks ({:.1} MRecords/s, phase1 {} / phase2 {}, {} host)",
                 r.final_tick,
                 r.records_per_second(&cfg.machine) / 1e6,
                 r.phase1_tick,
                 r.phase2_tick - r.phase1_tick,
-                bench::cli::host_rate(r.report.stats.events_executed, secs),
+                bench::timing::fmt_rate(r.report.stats.events_executed, secs),
             );
             s.push(n, r.final_tick);
         }
@@ -69,8 +59,5 @@ fn main() {
         "\n(the paper reports 76.8 TB/s at 256 full nodes; the shape to match is\n\
          small datasets saturating early and large ones scaling further)"
     );
-    let dirty = san.dirty();
-    if rg.dirty() || spg.dirty() || rp.dirty() || cg.dirty() || dirty {
-        std::process::exit(1);
-    }
+    ins.finish();
 }

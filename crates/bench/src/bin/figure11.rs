@@ -9,29 +9,20 @@
 //!     [--metrics-json out.metrics.json]
 //! ```
 
-use bench::{BENCH_ACCELS, BENCH_LANES, Checkpoint, Cli, CostGate, Exporter, RaceGate, ReplayGate, Sanitizer, SpecGate};
-use updown_sim::TopologyKind;
+use bench::{Cli, Exporter, Instruments, StdOpts, BENCH_ACCELS, BENCH_LANES};
 use updown_apps::ingest::datagen;
-use updown_apps::partial_match::{run_partial_match, sequential_matches, PmConfig};
+use updown_apps::partial_match::{self, run_partial_match, sequential_matches, PmConfig};
 use updown_sim::MachineConfig;
 
 fn main() {
     let cli = Cli::parse();
-    let full = cli.has("full");
-    let n_records: usize = cli.get("records", if full { 400_000 } else { 150_000 });
-    let seed: u64 = cli.get("seed", 0);
-    let threads: u32 = cli.get("threads", 1).max(1);
-    let topology: TopologyKind = bench::cli::parse_topology(&cli);
-    let san = Sanitizer::from_cli(&cli);
-    let rg = RaceGate::from_cli(&cli);
-    let spg = SpecGate::from_cli(&cli);
-    let ck = Checkpoint::from_cli(&cli);
-    let rp = ReplayGate::from_cli(&cli);
-    let cg = CostGate::from_cli(&cli);
+    let opts = StdOpts::parse(&cli, (1, 1), (0, 0));
+    let n_records: usize = cli.get("records", if opts.full { 400_000 } else { 150_000 });
+    let mut ins = Instruments::from_cli(&cli);
     let mut ex = Exporter::from_cli(&cli);
     let lanes_per_node = BENCH_ACCELS * BENCH_LANES;
 
-    let ds = datagen::generate(n_records, (n_records / 8) as u64, 21 ^ seed);
+    let ds = datagen::generate(n_records, (n_records / 8) as u64, 21 ^ opts.seed);
     let pattern = vec![1u16, 2, 3];
     let expected = sequential_matches(&ds.records, &pattern);
     println!(
@@ -54,24 +45,17 @@ fn main() {
         let nodes = frac_num.div_ceil(frac_den).max(1);
         let mut cfg = PmConfig::new(lanes, pattern.clone());
         cfg.machine = MachineConfig::small(nodes, BENCH_ACCELS, BENCH_LANES);
-        cfg.machine.threads = threads;
-        cfg.machine.net.topology = topology;
-        bench::cli::sched_knobs(&cli, &mut cfg.machine);
-        san.arm(&format!("pm {label}"), &mut cfg.machine);
-        rg.arm(&format!("pm {label}"), &mut cfg.machine);
-        spg.arm(&format!("pm {label}"), &updown_apps::partial_match::spec(), &mut cfg.machine);
-        ck.arm(&mut cfg.machine);
-        rp.arm(&mut cfg.machine);
+        opts.apply(&mut cfg.machine);
         cfg.batch = cli.get("batch", 96);
         cfg.interval = cli.get("interval", 32);
         cfg.feeders = 8;
-        let w = cg.enabled().then(|| updown_apps::partial_match::workload(&ds.records, &cfg));
-        cg.arm(&format!("pm {label}"), &updown_apps::partial_match::spec(), w, &mut cfg.machine);
+        let run = format!("pm {label}");
+        ins.arm(&run, &partial_match::spec(), |c| partial_match::workload(&ds.records, c), &mut cfg);
         cfg.trace = ex.want_trace();
         let t0 = std::time::Instant::now();
         let r = run_partial_match(&ds.records, &cfg);
         let secs = t0.elapsed().as_secs_f64();
-        ex.export(&format!("pm {label}"), &r.report, r.trace_json.as_deref());
+        ex.export(&run, &r.report, r.trace_json.as_deref());
         let mean = r.mean_latency();
         if base == 0.0 {
             base = mean;
@@ -79,8 +63,8 @@ fn main() {
         // Host throughput goes to stderr: stdout stays deterministic so
         // runs can be diffed as a conformance check.
         eprintln!(
-            "  pm {label}: {} host",
-            bench::cli::host_rate(r.report.stats.events_executed, secs)
+            "  {run}: {} host",
+            bench::timing::fmt_rate(r.report.stats.events_executed, secs)
         );
         println!(
             "{:>12} {:>8} {:>14.0} {:>14} {:>10.2}",
@@ -92,8 +76,5 @@ fn main() {
         );
     }
     println!("\n(the paper's Table 12: speedups 1.00 / 3.34 / 5.56 / 10.42)");
-    let dirty = san.dirty();
-    if rg.dirty() || spg.dirty() || rp.dirty() || cg.dirty() || dirty {
-        std::process::exit(1);
-    }
+    ins.finish();
 }

@@ -14,24 +14,20 @@
 //! and `--metrics-json` export the first simulated run of the sweep as a
 //! Chrome trace / metrics document (see docs/observability.md).
 
-use bench::{Checkpoint, Cli, CostGate, Exporter, RaceGate, ReplayGate, Sanitizer, SpecGate, StdOpts, graph_menu_seeded, node_sweep, prepared, prepared_undirected};
-use updown_apps::bfs::{run_bfs, BfsConfig};
+use bench::{graph_menu_seeded, node_sweep, prepared, prepared_undirected};
+use bench::{Cli, Exporter, Instruments, StdOpts};
+use bfs::{run_bfs, BfsConfig};
 use updown_apps::harness::{print_speedup_table, Series};
-use updown_apps::pagerank::{run_pagerank, PrConfig};
-use updown_apps::tc::{run_tc, TcConfig};
+use pagerank::{run_pagerank, PrConfig};
+use tc::{run_tc, TcConfig};
+use updown_apps::{bfs, pagerank, tc};
 
-#[allow(clippy::too_many_arguments)]
 fn pr_sweep(
     opts: &StdOpts,
     nodes: &[u32],
     iters: u32,
     ex: &mut Exporter,
-    san: &Sanitizer,
-    rg: &RaceGate,
-    spg: &SpecGate,
-    ck: &Checkpoint,
-    rp: &ReplayGate,
-    cg: &CostGate,
+    ins: &mut Instruments,
 ) -> Vec<Series> {
     let mut out = Vec::new();
     for (name, el) in graph_menu_seeded(opts.scale_shift, opts.seed) {
@@ -41,24 +37,19 @@ fn pr_sweep(
         for &n in nodes {
             let mut cfg = PrConfig::new(n);
             cfg.machine = opts.machine(n);
-            san.arm(&format!("pr {name} nodes={n}"), &mut cfg.machine);
-            rg.arm(&format!("pr {name} nodes={n}"), &mut cfg.machine);
-            spg.arm(&format!("pr {name} nodes={n}"), &updown_apps::pagerank::spec(), &mut cfg.machine);
-            ck.arm(&mut cfg.machine);
-            rp.arm(&mut cfg.machine);
             cfg.iterations = iters;
-            let w = cg.enabled().then(|| updown_apps::pagerank::workload(&sg, &cfg));
-            cg.arm(&format!("pr {name} nodes={n}"), &updown_apps::pagerank::spec(), w, &mut cfg.machine);
+            let label = format!("pr {name} nodes={n}");
+            ins.arm(&label, &pagerank::spec(), |c| pagerank::workload(&sg, c), &mut cfg);
             cfg.trace = ex.want_trace();
             let t0 = std::time::Instant::now();
             let r = run_pagerank(&sg, &cfg);
             let secs = t0.elapsed().as_secs_f64();
-            ex.export(&format!("pr {name} nodes={n}"), &r.report, r.trace_json.as_deref());
+            ex.export(&label, &r.report, r.trace_json.as_deref());
             eprintln!(
-                "  pr {name} nodes={n}: {} ticks ({:.2} GUPS, {} host)",
+                "  {label}: {} ticks ({:.2} GUPS, {} host)",
                 r.final_tick,
                 r.gups(&cfg.machine),
-                bench::cli::host_rate(r.report.stats.events_executed, secs)
+                bench::timing::fmt_rate(r.report.stats.events_executed, secs)
             );
             s.push(n, r.final_tick);
         }
@@ -67,17 +58,11 @@ fn pr_sweep(
     out
 }
 
-#[allow(clippy::too_many_arguments)]
 fn bfs_sweep(
     opts: &StdOpts,
     nodes: &[u32],
     ex: &mut Exporter,
-    san: &Sanitizer,
-    rg: &RaceGate,
-    spg: &SpecGate,
-    ck: &Checkpoint,
-    rp: &ReplayGate,
-    cg: &CostGate,
+    ins: &mut Instruments,
 ) -> Vec<Series> {
     let mut out = Vec::new();
     for (name, el) in graph_menu_seeded(opts.scale_shift, opts.seed) {
@@ -86,24 +71,19 @@ fn bfs_sweep(
         for &n in nodes {
             let mut cfg = BfsConfig::new(n, 0);
             cfg.machine = opts.machine(n);
-            san.arm(&format!("bfs {name} nodes={n}"), &mut cfg.machine);
-            rg.arm(&format!("bfs {name} nodes={n}"), &mut cfg.machine);
-            spg.arm(&format!("bfs {name} nodes={n}"), &updown_apps::bfs::spec(), &mut cfg.machine);
-            ck.arm(&mut cfg.machine);
-            rp.arm(&mut cfg.machine);
-            let w = cg.enabled().then(|| updown_apps::bfs::workload(&g, &cfg));
-            cg.arm(&format!("bfs {name} nodes={n}"), &updown_apps::bfs::spec(), w, &mut cfg.machine);
+            let label = format!("bfs {name} nodes={n}");
+            ins.arm(&label, &bfs::spec(), |c| bfs::workload(&g, c), &mut cfg);
             cfg.trace = ex.want_trace();
             let t0 = std::time::Instant::now();
             let r = run_bfs(&g, &cfg);
             let secs = t0.elapsed().as_secs_f64();
-            ex.export(&format!("bfs {name} nodes={n}"), &r.report, r.trace_json.as_deref());
+            ex.export(&label, &r.report, r.trace_json.as_deref());
             eprintln!(
-                "  bfs {name} nodes={n}: {} ticks, {} rounds, {:.2} GTEPS, {} host",
+                "  {label}: {} ticks, {} rounds, {:.2} GTEPS, {} host",
                 r.final_tick,
                 r.rounds,
                 r.gteps(&cfg.machine),
-                bench::cli::host_rate(r.report.stats.events_executed, secs)
+                bench::timing::fmt_rate(r.report.stats.events_executed, secs)
             );
             s.push(n, r.final_tick);
         }
@@ -112,17 +92,11 @@ fn bfs_sweep(
     out
 }
 
-#[allow(clippy::too_many_arguments)]
 fn tc_sweep(
     opts: &StdOpts,
     nodes: &[u32],
     ex: &mut Exporter,
-    san: &Sanitizer,
-    rg: &RaceGate,
-    spg: &SpecGate,
-    ck: &Checkpoint,
-    rp: &ReplayGate,
-    cg: &CostGate,
+    ins: &mut Instruments,
 ) -> Vec<Series> {
     let mut out = Vec::new();
     // TC is intersection-heavy: drop the graphs three scales relative to
@@ -134,27 +108,22 @@ fn tc_sweep(
         for &n in nodes {
             let mut cfg = TcConfig::new(n);
             cfg.machine = opts.machine(n);
-            san.arm(&format!("tc {name} nodes={n}"), &mut cfg.machine);
-            rg.arm(&format!("tc {name} nodes={n}"), &mut cfg.machine);
-            spg.arm(&format!("tc {name} nodes={n}"), &updown_apps::tc::spec(), &mut cfg.machine);
-            ck.arm(&mut cfg.machine);
-            rp.arm(&mut cfg.machine);
-            let w = cg.enabled().then(|| updown_apps::tc::workload(&g, &cfg));
-            cg.arm(&format!("tc {name} nodes={n}"), &updown_apps::tc::spec(), w, &mut cfg.machine);
+            let label = format!("tc {name} nodes={n}");
+            ins.arm(&label, &tc::spec(), |c| tc::workload(&g, c), &mut cfg);
             cfg.trace = ex.want_trace();
             let t0 = std::time::Instant::now();
             let r = run_tc(&g, &cfg);
             let secs = t0.elapsed().as_secs_f64();
-            ex.export(&format!("tc {name} nodes={n}"), &r.report, r.trace_json.as_deref());
+            ex.export(&label, &r.report, r.trace_json.as_deref());
             match triangles {
                 None => triangles = Some(r.triangles),
                 Some(t) => assert_eq!(t, r.triangles, "count must not depend on machine"),
             }
             eprintln!(
-                "  tc {name} nodes={n}: {} ticks ({} triangles, {} host)",
+                "  {label}: {} ticks ({} triangles, {} host)",
                 r.final_tick,
                 r.triangles,
-                bench::cli::host_rate(r.report.stats.events_executed, secs)
+                bench::timing::fmt_rate(r.report.stats.events_executed, secs)
             );
             s.push(n, r.final_tick);
         }
@@ -179,12 +148,7 @@ fn main() {
         .into_iter()
         .filter(|&n| n >= min_nodes)
         .collect();
-    let san = Sanitizer::from_cli(&cli);
-    let rg = RaceGate::from_cli(&cli);
-    let spg = SpecGate::from_cli(&cli);
-    let ck = Checkpoint::from_cli(&cli);
-    let rp = ReplayGate::from_cli(&cli);
-    let cg = CostGate::from_cli(&cli);
+    let mut ins = Instruments::from_cli(&cli);
     let mut ex = Exporter::from_cli(&cli);
 
     println!("Figure 9 reproduction — strong scaling on the UpDown simulator");
@@ -197,7 +161,7 @@ fn main() {
     );
 
     if which == "pr" || which == "all" {
-        let series = pr_sweep(&opts, &nodes, iters, &mut ex, &san, &rg, &spg, &ck, &rp, &cg);
+        let series = pr_sweep(&opts, &nodes, iters, &mut ex, &mut ins);
         print_speedup_table(
             "Figure 9 (left) / Table 8: PageRank speedup",
             "nodes",
@@ -205,7 +169,7 @@ fn main() {
         );
     }
     if which == "bfs" || which == "all" {
-        let series = bfs_sweep(&opts, &nodes, &mut ex, &san, &rg, &spg, &ck, &rp, &cg);
+        let series = bfs_sweep(&opts, &nodes, &mut ex, &mut ins);
         print_speedup_table(
             "Figure 9 (center) / Table 9: BFS speedup",
             "nodes",
@@ -217,15 +181,12 @@ fn main() {
             .into_iter()
             .filter(|&n| n >= min_nodes)
             .collect();
-        let series = tc_sweep(&opts, &tc_nodes, &mut ex, &san, &rg, &spg, &ck, &rp, &cg);
+        let series = tc_sweep(&opts, &tc_nodes, &mut ex, &mut ins);
         print_speedup_table(
             "Figure 9 (right) / Table 10: TC speedup",
             "nodes",
             &series,
         );
     }
-    let dirty = san.dirty();
-    if rg.dirty() || spg.dirty() || rp.dirty() || cg.dirty() || dirty {
-        std::process::exit(1);
-    }
+    ins.finish();
 }

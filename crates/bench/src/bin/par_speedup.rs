@@ -32,36 +32,29 @@
 //! thread-timing dependent, so they appear in the table and the JSON
 //! file but never in the byte-compared metrics.
 
-use bench::{Checkpoint, Cli, CostGate, RaceGate, ReplayGate, Sanitizer, SpecGate, bench_machine_topo};
-use updown_apps::pagerank::{run_pagerank, PrConfig};
+use bench::{Cli, Instruments, StdOpts};
+use updown_apps::pagerank::{self, run_pagerank, PrConfig};
 use updown_graph::generators::{rmat, RmatParams};
 use updown_graph::preprocess::split_and_shuffle;
 
 fn main() {
-    let cli = Cli::parse();
-    let nodes: u32 = cli.get("nodes", 64);
-    let scale: u32 = cli.get("scale", 13);
-    let seed: u64 = cli.get("seed", 0);
-    let iters: u32 = cli.get("iters", 1);
+    let mut cli = Cli::parse();
+    // `--threads` is a list of thread counts here, not one engine width.
     let threads_list: Vec<u32> = cli
-        .opt::<String>("threads")
+        .take("threads")
         .unwrap_or_else(|| "1,2,4".into())
         .split(',')
         .filter_map(|s| s.trim().parse().ok())
         .filter(|&t| t > 1)
         .collect();
+    let opts = StdOpts::parse(&cli, (64, 64), (0, 0));
+    let StdOpts { max_nodes: nodes, seed, steal, window_batch, topology, .. } = opts;
+    let scale: u32 = cli.get("scale", 13);
+    let iters: u32 = cli.get("iters", 1);
     let min_speedup: f64 = cli.get("min-speedup", 0.0);
-    let steal = bench::cli::parse_on_off(&cli, "steal", true);
-    let window_batch: u64 = cli.get::<u64>("window-batch", 8).max(1);
     let mode_check = bench::cli::parse_on_off(&cli, "mode-check", true);
     let json_out: Option<String> = cli.opt("json-out");
-    let topology = bench::cli::parse_topology(&cli);
-    let san = Sanitizer::from_cli(&cli);
-    let rg = RaceGate::from_cli(&cli);
-    let spg = SpecGate::from_cli(&cli);
-    let ck = Checkpoint::from_cli(&cli);
-    let rp = ReplayGate::from_cli(&cli);
-    let cg = CostGate::from_cli(&cli);
+    let mut ins = Instruments::from_cli(&cli);
     let host_cores = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
 
     let el = rmat(scale, RmatParams::default(), 48 ^ seed);
@@ -76,19 +69,14 @@ fn main() {
         if steal { "on" } else { "off" }
     );
 
-    let run = |threads: u32, steal: bool, window_batch: u64, label: &str| {
+    let mut run = |threads: u32, steal: bool, window_batch: u64, label: &str| {
         let mut cfg = PrConfig::new(nodes);
-        cfg.machine = bench_machine_topo(nodes, threads, topology);
+        cfg.machine = opts.machine(nodes);
+        cfg.machine.threads = threads;
         cfg.machine.steal = steal;
         cfg.machine.window_batch = window_batch;
-        san.arm(label, &mut cfg.machine);
-        rg.arm(label, &mut cfg.machine);
-        spg.arm(label, &updown_apps::pagerank::spec(), &mut cfg.machine);
-        ck.arm(&mut cfg.machine);
-        rp.arm(&mut cfg.machine);
         cfg.iterations = iters;
-        let w = cg.enabled().then(|| updown_apps::pagerank::workload(&sg, &cfg));
-        cg.arm(label, &updown_apps::pagerank::spec(), w, &mut cfg.machine);
+        ins.arm(label, &pagerank::spec(), |c| pagerank::workload(&sg, c), &mut cfg);
         let t0 = std::time::Instant::now();
         let r = run_pagerank(&sg, &cfg);
         (r, t0.elapsed().as_secs_f64())
@@ -110,7 +98,7 @@ fn main() {
             t,
             secs,
             base.final_tick,
-            bench::cli::host_rate(ev, secs),
+            bench::timing::fmt_rate(ev, secs),
             sp,
             hs.steals,
             hs.batched_windows,
@@ -212,8 +200,5 @@ fn main() {
         println!("wrote {path}");
     }
 
-    let dirty = san.dirty();
-    if rg.dirty() || spg.dirty() || rp.dirty() || cg.dirty() || dirty {
-        std::process::exit(1);
-    }
+    ins.finish();
 }

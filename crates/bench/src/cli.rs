@@ -3,15 +3,24 @@
 //! Every binary parses [`Cli`] and understands the shared flags in
 //! [`StdOpts`] (`--nodes`, `--scale`, `--seed`, `--threads`, `--steal`,
 //! `--window-batch`, `--trace`, `--metrics-json`, `--full`) on top of its
-//! own specifics. The
+//! own specifics. [`Instruments`] arms every run with the instrument
+//! flags (`--sanitize`, `--race`, `--spec`, `--cost`, checkpointing and
+//! replay) and reports them at the end of `main`. The
 //! [`Exporter`] turns the observability flags into files: when a binary
 //! sweeps many configurations, the *first* simulated run is the one that
 //! gets traced and exported — enough to inspect one representative run in
 //! `chrome://tracing` without multi-gigabyte outputs.
 
+use std::fmt::Write;
+use std::path::PathBuf;
+
+use updown_apps::{
+    bfs::BfsConfig, ingest::IngestConfig, pagerank::PrConfig, partial_match::PmConfig,
+    tc::TcConfig,
+};
 use updown_sim::{
-    DiagKind, MachineConfig, Metrics, ProgramSpec, ProtocolProbe, RaceProbe, SpecSeverity,
-    TopologyKind,
+    DiagKind, MachineConfig, Metrics, ProgramSpec, ProtocolProbe, RaceProbe, ReplayCheck,
+    SpecSeverity, TopologyKind, Workload,
 };
 
 /// Minimal flag parsing: `--key value` pairs plus positional args.
@@ -55,12 +64,29 @@ impl Cli {
     }
 
     /// Last `--key value` occurrence parsed as `T`, `None` if absent.
+    /// Exits 2 naming the flag when the value does not parse: `--nodes 2x`
+    /// must not silently run the default sweep.
     pub fn opt<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
-        self.pairs
-            .iter()
-            .rev()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| v.parse().ok())
+        self.try_opt(key).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        })
+    }
+
+    /// [`Cli::opt`] that returns the parse error instead of exiting.
+    pub fn try_opt<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        match self.pairs.iter().rev().find(|(k, _)| k == key) {
+            None => Ok(None),
+            Some((_, v)) => v.parse().map(Some).map_err(|_| format!("--{key} {v}: invalid value")),
+        }
+    }
+
+    /// Remove every `--key value` occurrence, returning the last value:
+    /// for a binary that gives a shared flag its own meaning.
+    pub fn take(&mut self, key: &str) -> Option<String> {
+        let v = self.opt(key);
+        self.pairs.retain(|(k, _)| k != key);
+        v
     }
 
     pub fn has(&self, key: &str) -> bool {
@@ -92,12 +118,6 @@ pub struct StdOpts {
     pub topology: TopologyKind,
     /// `--full`: paper-sized sweep.
     pub full: bool,
-    /// `--sanitize`: arm the runtime protocol sanitizer on every run
-    /// (see [`Sanitizer`] and docs/udcheck.md).
-    pub sanitize: bool,
-    /// `--race`: arm the happens-before race detector on every run
-    /// (see [`RaceGate`] and docs/udrace.md).
-    pub race: bool,
     /// `--trace <path>` / `--metrics-json <path>` exporter.
     pub exporter: Exporter,
 }
@@ -128,8 +148,6 @@ impl StdOpts {
             window_batch: cli.get::<u64>("window-batch", 8).max(1),
             topology: parse_topology(cli),
             full,
-            sanitize: cli.has("sanitize"),
-            race: cli.has("race"),
             exporter: Exporter::from_cli(cli),
         }
     }
@@ -158,18 +176,10 @@ pub fn parse_on_off(cli: &Cli, key: &str, default: bool) -> bool {
     }
 }
 
-/// Apply the shared scheduler knobs (`--steal on|off`, `--window-batch K`)
-/// to a machine built outside [`StdOpts::machine`] — the bins that parse
-/// [`Cli`] directly share the same defaults this way.
-pub fn sched_knobs(cli: &Cli, cfg: &mut MachineConfig) {
-    cfg.steal = parse_on_off(cli, "steal", true);
-    cfg.window_batch = cli.get::<u64>("window-batch", 8).max(1);
-}
-
 /// Parse `--topology`, exiting with the list of valid values on a bad
 /// one (a silent fallback to the default would quietly benchmark the
 /// wrong network).
-pub fn parse_topology(cli: &Cli) -> TopologyKind {
+fn parse_topology(cli: &Cli) -> TopologyKind {
     match cli.opt::<String>("topology") {
         None => TopologyKind::default(),
         Some(s) => s.parse().unwrap_or_else(|e| {
@@ -179,463 +189,263 @@ pub fn parse_topology(cli: &Cli) -> TopologyKind {
     }
 }
 
-/// `--sanitize` support for the figure binaries: arms every simulated run
-/// with [`MachineConfig::sanitize`] plus a fresh
-/// [`ProtocolProbe`], then reports the collected
-/// diagnostics at the end of `main`. Simulated results are unchanged for
-/// violation-free programs (see docs/udcheck.md), so sanitized sweeps
-/// reproduce the exact figures while cross-checking the event protocol.
-pub struct Sanitizer {
-    enabled: bool,
-    runs: std::sync::Mutex<Vec<(String, ProtocolProbe)>>,
+/// An app config (or a bare machine) that [`Instruments::arm`] can arm.
+/// `arm` takes the whole config so it can build the `--cost` workload
+/// from it after arming the machine.
+pub trait HasMachine {
+    fn machine(&mut self) -> &mut MachineConfig;
 }
 
-impl Sanitizer {
-    pub fn from_cli(cli: &Cli) -> Sanitizer {
-        Sanitizer {
-            enabled: cli.has("sanitize"),
-            runs: std::sync::Mutex::new(Vec::new()),
-        }
-    }
-
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Arm `cfg` with the sanitizer and a fresh probe when `--sanitize`
-    /// was given; `label` names the run in the final report.
-    pub fn arm(&self, label: &str, cfg: &mut MachineConfig) {
-        if !self.enabled {
-            return;
-        }
-        let probe = ProtocolProbe::new();
-        cfg.sanitize = true;
-        cfg.probe = Some(probe.clone());
-        self.runs.lock().unwrap().push((label.to_string(), probe));
-    }
-
-    /// Print every diagnostic recorded across the armed runs to stderr;
-    /// returns whether any run reported a violation.
-    pub fn dirty(&self) -> bool {
-        if !self.enabled {
-            return false;
-        }
-        let runs = self.runs.lock().unwrap();
-        let mut dirty = false;
-        for (label, probe) in runs.iter() {
-            for d in probe.diagnostics() {
-                dirty = true;
-                eprintln!(
-                    "sanitizer[{}] {label}: {} — {} (x{}, first at tick {} lane {})",
-                    d.kind.as_str(),
-                    d.handler,
-                    d.detail,
-                    d.count,
-                    d.first_tick,
-                    d.lane
-                );
-            }
-        }
-        if !dirty {
-            eprintln!("sanitizer: {} run(s), no protocol violations", runs.len());
-        }
-        dirty
-    }
-
-    /// Tail-of-`main` helper: report and exit non-zero on violations.
-    pub fn exit_if_dirty(&self) {
-        if self.dirty() {
-            std::process::exit(1);
-        }
+impl HasMachine for MachineConfig {
+    fn machine(&mut self) -> &mut MachineConfig {
+        self
     }
 }
 
-/// `--race` support for the figure binaries: arms every simulated run
-/// with a fresh [`RaceProbe`] (the happens-before race detector, see
-/// docs/udrace.md), then reports every unordered conflicting access pair
-/// at the end of `main`. Like the sanitizer, the probe has zero observer
-/// effect: simulated results and metrics are unchanged.
-pub struct RaceGate {
-    enabled: bool,
-    runs: std::sync::Mutex<Vec<(String, RaceProbe)>>,
+macro_rules! has_machine {
+    ($($t:ty),*) => {$(impl HasMachine for $t {
+        fn machine(&mut self) -> &mut MachineConfig {
+            &mut self.machine
+        }
+    })*};
 }
 
-impl RaceGate {
-    pub fn from_cli(cli: &Cli) -> RaceGate {
-        RaceGate {
-            enabled: cli.has("race"),
-            runs: std::sync::Mutex::new(Vec::new()),
-        }
-    }
+has_machine!(PrConfig, BfsConfig, TcConfig, IngestConfig, PmConfig);
 
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Arm `cfg` with a fresh race probe when `--race` was given; `label`
-    /// names the run in the final report.
-    pub fn arm(&self, label: &str, cfg: &mut MachineConfig) {
-        if !self.enabled {
-            return;
-        }
-        let probe = RaceProbe::new();
-        cfg.race = Some(probe.clone());
-        self.runs.lock().unwrap().push((label.to_string(), probe));
-    }
-
-    /// Print every race site recorded across the armed runs to stderr;
-    /// returns whether any run reported a race (or overflowed the site
-    /// cap, which hides potential races).
-    pub fn dirty(&self) -> bool {
-        if !self.enabled {
-            return false;
-        }
-        let runs = self.runs.lock().unwrap();
-        let mut dirty = false;
-        for (label, probe) in runs.iter() {
-            let r = probe.snapshot();
-            for s in &r.sites {
-                dirty = true;
-                eprintln!(
-                    "udrace[{label}] '{}' races with '{}': {} (x{}, first at tick {} lane {})",
-                    s.current, s.prior, s.detail, s.count, s.first_tick, s.lane
-                );
-            }
-            if r.sites_truncated > 0 {
-                dirty = true;
-                eprintln!(
-                    "udrace[{label}] warning: {} distinct site(s) dropped past the site cap",
-                    r.sites_truncated
-                );
-            }
-        }
-        if !dirty {
-            eprintln!("udrace: {} run(s), no races", runs.len());
-        }
-        dirty
-    }
-
-    /// Tail-of-`main` helper: report and exit non-zero on races.
-    pub fn exit_if_dirty(&self) {
-        if self.dirty() {
-            std::process::exit(1);
-        }
-    }
-}
-
-/// `--spec` support for the figure binaries: arms every simulated run
-/// with runtime protocol-spec enforcement
-/// ([`MachineConfig::enforce_spec`] plus a fresh [`ProtocolProbe`]), then
-/// reports every observed-vs-declared deviation at the end of `main`.
-/// Like the sanitizer the probe has zero observer effect, so enforced
-/// sweeps reproduce the exact figures; see docs/udspec.md.
-pub struct SpecGate {
-    enabled: bool,
-    runs: std::sync::Mutex<Vec<(String, ProtocolProbe)>>,
-}
-
-impl SpecGate {
-    pub fn from_cli(cli: &Cli) -> SpecGate {
-        SpecGate {
-            enabled: cli.has("spec"),
-            runs: std::sync::Mutex::new(Vec::new()),
-        }
-    }
-
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Arm `cfg` to enforce `spec` when `--spec` was given; `label` names
-    /// the run in the final report. Reuses a probe another gate already
-    /// attached (e.g. `--sanitize`) so both report from the same summary.
-    pub fn arm(&self, label: &str, spec: &ProgramSpec, cfg: &mut MachineConfig) {
-        if !self.enabled {
-            return;
-        }
-        let probe = match &cfg.probe {
-            Some(p) => p.clone(),
-            None => {
-                let p = ProtocolProbe::new();
-                cfg.probe = Some(p.clone());
-                p
-            }
-        };
-        cfg.enforce_spec = Some(spec.clone());
-        self.runs.lock().unwrap().push((label.to_string(), probe));
-    }
-
-    /// Print every spec violation recorded across the armed runs to
-    /// stderr; returns whether any run deviated from its declarations.
-    pub fn dirty(&self) -> bool {
-        if !self.enabled {
-            return false;
-        }
-        let runs = self.runs.lock().unwrap();
-        let mut dirty = false;
-        for (label, probe) in runs.iter() {
-            for d in probe.diagnostics() {
-                if d.kind != DiagKind::SpecViolation {
-                    continue;
-                }
-                dirty = true;
-                eprintln!("udspec[{label}] {}: {} (x{})", d.handler, d.detail, d.count);
-            }
-        }
-        if !dirty {
-            eprintln!("udspec: {} run(s), no spec violations", runs.len());
-        }
-        dirty
-    }
-
-    /// Tail-of-`main` helper: report and exit non-zero on violations.
-    pub fn exit_if_dirty(&self) {
-        if self.dirty() {
-            std::process::exit(1);
-        }
-    }
-}
-
-/// `--cost` support for the figure binaries: before each armed run,
-/// predict its load and traffic statically with `udcost`
-/// ([`udcheck::analyze_cost`]) and seed the parallel scheduler's shard
-/// claim order with the prediction ([`MachineConfig::cost_hints`]), so
-/// window 0 claims the predicted-heaviest shard first instead of
-/// discovering the ranking one window late. Scheduling-only: simulated
-/// results are byte-identical with hints on or off. At the end of `main`
-/// the gate prints one prediction summary per run and exits non-zero if
-/// any prediction carried error-severity findings; see docs/analysis.md.
-pub struct CostGate {
-    enabled: bool,
-    runs: std::sync::Mutex<Vec<udcheck::CostReport>>,
-}
-
-impl CostGate {
-    pub fn from_cli(cli: &Cli) -> CostGate {
-        CostGate {
-            enabled: cli.has("cost"),
-            runs: std::sync::Mutex::new(Vec::new()),
-        }
-    }
-
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Predict the run `label` describes and seed `cfg.cost_hints` from
-    /// the prediction. Callers gate the workload construction on
-    /// [`CostGate::enabled`] (`cg.enabled().then(|| app::workload(..))`)
-    /// so disabled sweeps pay nothing.
-    pub fn arm(
-        &self,
-        label: &str,
-        spec: &ProgramSpec,
-        workload: Option<updown_sim::spec::Workload>,
-        cfg: &mut MachineConfig,
-    ) {
-        let Some(w) = workload else { return };
-        if !self.enabled {
-            return;
-        }
-        let report = udcheck::analyze_cost(label, spec, &w, cfg);
-        cfg.cost_hints = report.shard_hints();
-        self.runs.lock().unwrap().push(report);
-    }
-
-    /// Print every prediction summary to stderr; returns whether any
-    /// prediction carried an error-severity finding.
-    pub fn dirty(&self) -> bool {
-        if !self.enabled {
-            return false;
-        }
-        let runs = self.runs.lock().unwrap();
-        let mut dirty = false;
-        for r in runs.iter() {
-            eprintln!(
-                "udcost[{}]: predicted {:.0} events, {:.0} msgs \
-                 ({:.0} inter-node), imbalance {:.2}x; hints {:?}",
-                r.app,
-                r.total_events,
-                r.total_msgs,
-                r.inter_node_msgs,
-                r.imbalance,
-                r.shard_hints()
-            );
-            for f in &r.findings {
-                dirty |= f.severity == SpecSeverity::Error;
-                eprintln!("udcost[{}] [{}] {}: {}", r.app, f.severity, f.check, f.message);
-            }
-        }
-        dirty
-    }
-
-    /// Tail-of-`main` helper: report and exit non-zero on errors.
-    pub fn exit_if_dirty(&self) {
-        if self.dirty() {
-            std::process::exit(1);
-        }
-    }
-}
-
-/// `--checkpoint` / `--restore` / `--checkpoint-every` support for the
-/// figure binaries (see docs/checkpoint.md).
+/// The instrument flags of the figure binaries as one switchable layer.
+/// Every flag arms every simulated run; simulated results and metrics are
+/// unchanged by all of them.
 ///
-/// * `--checkpoint-every N` sets [`MachineConfig::checkpoint_every`] on
-///   every armed run: the engine pauses every `N` scheduler windows,
-///   snapshots, round-trips the snapshot and continues. Results are
-///   byte-identical with checkpointing on or off.
-/// * `--checkpoint <path>` additionally writes an `updown-snapshot/v1`
-///   file at the first checkpoint boundary of the *first* armed run
-///   (first-run-wins, like the [`Exporter`]). Defaults the cadence to 8
-///   windows when `--checkpoint-every` is absent.
-/// * `--restore <path>` re-drives the first armed run against the
-///   snapshot: at the recorded window the engine byte-compares its live
-///   state against the file, round-trips the decoder, and continues.
-///   The header is validated up front so a bad path or corrupt file is a
-///   clean CLI error. Defaults the cadence to the snapshot's window so
-///   the boundary lands exactly once.
-pub struct Checkpoint {
-    every: u64,
-    write_path: Option<String>,
-    restore_path: Option<String>,
-    /// First-run-wins: paths attach to the first armed run only.
-    armed_paths: std::sync::atomic::AtomicBool,
+/// * `--sanitize`: [`MachineConfig::sanitize`] plus a fresh
+///   [`ProtocolProbe`] (docs/udcheck.md).
+/// * `--race`: a fresh [`RaceProbe`], the happens-before race detector
+///   (docs/udrace.md).
+/// * `--spec`: [`MachineConfig::enforce_spec`], reporting into the
+///   sanitizer's probe when both are on (docs/udspec.md).
+/// * `--cost`: a static `udcost` prediction ([`udcheck::analyze_cost`])
+///   seeding [`MachineConfig::cost_hints`]; scheduling-only
+///   (docs/analysis.md).
+/// * `--checkpoint-every N`: pause, snapshot and round-trip every `N`
+///   windows. `--checkpoint <path>` writes the first boundary of the
+///   *first* armed run to a file (cadence 8 by default); `--restore <path>`
+///   re-drives the first armed run against one, its header validated up
+///   front (cadence defaults to the snapshot's window). docs/checkpoint.md.
+/// * `--record` captures each run's cross-shard schedule; `--replay` also
+///   re-executes every shard in isolation and byte-compares.
+pub struct Instruments {
+    sanitize: bool,
+    race: bool,
+    spec: bool,
+    cost: bool,
+    record: bool,
+    replay: Option<ReplayCheck>,
+    checkpoint_every: u64,
+    /// `(--checkpoint, --restore)`, taken by the first armed run.
+    paths: Option<(Option<PathBuf>, Option<PathBuf>)>,
+    runs: Vec<Armed>,
 }
 
-impl Checkpoint {
-    pub fn from_cli(cli: &Cli) -> Checkpoint {
-        let write_path: Option<String> = cli.opt("checkpoint");
-        let restore_path: Option<String> = cli.opt("restore");
-        let mut every: u64 = cli.get("checkpoint-every", 0);
-        if let Some(p) = &restore_path {
-            // Validate the header up front: a missing or corrupt snapshot
-            // should be a CLI error, not a mid-sweep panic.
-            match updown_sim::snapshot::read_header(std::path::Path::new(p)) {
-                Ok(h) => {
-                    if every == 0 {
-                        every = h.window.max(1);
-                    } else if h.window % every != 0 {
-                        eprintln!(
-                            "--restore {p}: snapshot was taken at window {} which is not a \
-                             multiple of --checkpoint-every {every}",
-                            h.window
-                        );
-                        std::process::exit(2);
-                    }
-                }
-                Err(e) => {
-                    eprintln!("--restore {p}: {e}");
-                    std::process::exit(2);
-                }
+/// What one armed run reports at the end of `main`.
+struct Armed {
+    label: String,
+    probe: Option<ProtocolProbe>,
+    race: Option<RaceProbe>,
+    cost: Option<udcheck::CostReport>,
+}
+
+impl Instruments {
+    /// Parse the instrument flags; a bad `--restore` is a CLI error (exit 2).
+    pub fn from_cli(cli: &Cli) -> Instruments {
+        Self::try_from_cli(cli).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        })
+    }
+
+    fn try_from_cli(cli: &Cli) -> Result<Instruments, String> {
+        let write: Option<PathBuf> = cli.try_opt("checkpoint")?;
+        let restore: Option<PathBuf> = cli.try_opt("restore")?;
+        let mut every: u64 = cli.try_opt("checkpoint-every")?.unwrap_or(0);
+        if let Some(path) = &restore {
+            let p = path.display();
+            let h = updown_sim::snapshot::read_header(path)
+                .map_err(|e| format!("--restore {p}: {e}"))?;
+            if every == 0 {
+                every = h.window.max(1);
+            } else if h.window % every != 0 {
+                return Err(format!(
+                    "--restore {p}: snapshot was taken at window {} which is not a \
+                     multiple of --checkpoint-every {every}",
+                    h.window
+                ));
             }
         }
-        if write_path.is_some() && every == 0 {
+        if write.is_some() && every == 0 {
             every = 8;
         }
-        Checkpoint {
-            every,
-            write_path,
-            restore_path,
-            armed_paths: std::sync::atomic::AtomicBool::new(false),
-        }
-    }
-
-    pub fn enabled(&self) -> bool {
-        self.every != 0
-    }
-
-    /// Arm `cfg` with the checkpoint cadence; the snapshot file paths
-    /// (write or restore) attach to the first armed run only.
-    pub fn arm(&self, cfg: &mut MachineConfig) {
-        if self.every == 0 {
-            return;
-        }
-        cfg.checkpoint_every = self.every;
-        if !self.armed_paths.swap(true, std::sync::atomic::Ordering::Relaxed) {
-            cfg.checkpoint_path = self.write_path.clone().map(Into::into);
-            cfg.restore_path = self.restore_path.clone().map(Into::into);
-        }
-    }
-}
-
-/// `--record` / `--replay` support for the figure binaries (see
-/// docs/checkpoint.md): `--record` makes every armed run capture its
-/// cross-shard message schedule (measures recording overhead); `--replay`
-/// additionally re-executes every shard of every recording in isolation
-/// after the run and byte-compares the replayed event stream against the
-/// recorded one, reporting divergences at the end of `main`.
-pub struct ReplayGate {
-    record: bool,
-    check: Option<updown_sim::ReplayCheck>,
-}
-
-impl ReplayGate {
-    pub fn from_cli(cli: &Cli) -> ReplayGate {
         let replay = cli.has("replay");
-        ReplayGate {
+        Ok(Instruments {
+            sanitize: cli.has("sanitize"),
+            race: cli.has("race"),
+            spec: cli.has("spec"),
+            cost: cli.has("cost"),
             record: cli.has("record") || replay,
-            check: replay.then(updown_sim::ReplayCheck::new),
-        }
+            replay: replay.then(ReplayCheck::new),
+            checkpoint_every: every,
+            paths: Some((write, restore)),
+            runs: Vec::new(),
+        })
     }
 
-    pub fn enabled(&self) -> bool {
-        self.record
-    }
-
-    /// Arm `cfg` to record (and, under `--replay`, verify) the run.
-    pub fn arm(&self, cfg: &mut MachineConfig) {
-        if self.record {
-            cfg.record = true;
+    /// Arm one run: `label` names it in the reports, `spec` is the app's
+    /// declared protocol, and `workload` (built only under `--cost`)
+    /// describes the run's input for the cost prediction.
+    pub fn arm<C: HasMachine>(
+        &mut self,
+        label: &str,
+        spec: &ProgramSpec,
+        workload: impl FnOnce(&C) -> Workload,
+        cfg: &mut C,
+    ) {
+        let m = cfg.machine();
+        if self.sanitize {
+            m.sanitize = true;
+            m.probe = Some(ProtocolProbe::new());
         }
-        if let Some(check) = &self.check {
-            cfg.replay = Some(check.clone());
+        if self.spec {
+            m.probe.get_or_insert_with(ProtocolProbe::new);
+            m.enforce_spec = Some(spec.clone());
         }
-    }
-
-    /// Print the per-run replay verdicts to stderr; returns whether any
-    /// replayed shard diverged from its recording.
-    pub fn dirty(&self) -> bool {
-        let Some(check) = &self.check else {
-            return false;
-        };
-        let reports = check.reports();
-        let mut dirty = false;
-        for r in &reports {
-            if r.ok() {
-                eprintln!(
-                    "replay[{}]: {} shard(s), {} window(s), {} event(s) — byte-identical",
-                    r.label, r.shards, r.rounds, r.events
-                );
-            } else {
-                dirty = true;
-                for m in &r.mismatches {
-                    eprintln!("replay[{}] DIVERGED: {m}", r.label);
-                }
+        if self.race {
+            m.race = Some(RaceProbe::new());
+        }
+        if self.checkpoint_every != 0 {
+            m.checkpoint_every = self.checkpoint_every;
+            if let Some((write, restore)) = self.paths.take() {
+                m.checkpoint_path = write;
+                m.restore_path = restore;
             }
         }
-        if reports.is_empty() {
-            eprintln!("replay: no runs verified");
+        m.record |= self.record;
+        if let Some(check) = &self.replay {
+            m.replay = Some(check.clone());
         }
-        dirty
+        let (probe, race) = (m.probe.clone(), m.race.clone());
+        let cost = self.cost.then(|| {
+            let w = workload(cfg);
+            let m = cfg.machine();
+            let report = udcheck::analyze_cost(label, spec, &w, m);
+            m.cost_hints = report.shard_hints();
+            report
+        });
+        let label = label.to_string();
+        self.runs.push(Armed { label, probe, race, cost });
     }
 
-    /// Tail-of-`main` helper: report and exit non-zero on divergence.
-    pub fn exit_if_dirty(&self) {
-        if self.dirty() {
+    /// Tail of `main`: print every enabled report to stderr and exit 1 if
+    /// any of them is dirty.
+    pub fn finish(&self) {
+        let mut out = String::new();
+        let dirty = self.report(&mut out);
+        eprint!("{out}");
+        if dirty {
             std::process::exit(1);
         }
     }
+
+    /// Write the sanitizer, race, spec, replay and cost reports, in that
+    /// order, for every enabled gate; returns whether any is dirty.
+    fn report(&self, out: &mut String) -> bool {
+        let n = self.runs.len();
+        let diags =
+            |r: &Armed| r.probe.as_ref().map(ProtocolProbe::diagnostics).unwrap_or_default();
+        let mut dirty = false;
+        if self.sanitize {
+            let found = self.runs.iter().flat_map(|r| {
+                diags(r).into_iter().map(move |d| {
+                    format!(
+                        "sanitizer[{}] {}: {} — {} (x{}, first at tick {} lane {})",
+                        d.kind.as_str(), r.label, d.handler, d.detail, d.count, d.first_tick, d.lane
+                    )
+                })
+            });
+            dirty |= gate(out, found, format!("sanitizer: {n} run(s), no protocol violations"));
+        }
+        if self.race {
+            let found = self.runs.iter().flat_map(|r| {
+                let rep = r.race.as_ref().map(RaceProbe::snapshot).unwrap_or_default();
+                let label = &r.label;
+                let sites = rep.sites.iter().map(|s| {
+                    format!(
+                        "udrace[{label}] '{}' races with '{}': {} (x{}, first at tick {} lane {})",
+                        s.current, s.prior, s.detail, s.count, s.first_tick, s.lane
+                    )
+                });
+                let cap = (rep.sites_truncated > 0).then(|| {
+                    format!(
+                        "udrace[{label}] warning: {} distinct site(s) dropped past the site cap",
+                        rep.sites_truncated
+                    )
+                });
+                sites.chain(cap).collect::<Vec<_>>()
+            });
+            dirty |= gate(out, found, format!("udrace: {n} run(s), no races"));
+        }
+        if self.spec {
+            let found = self.runs.iter().flat_map(|r| {
+                diags(r).into_iter().filter(|d| d.kind == DiagKind::SpecViolation).map(move |d| {
+                    format!("udspec[{}] {}: {} (x{})", r.label, d.handler, d.detail, d.count)
+                })
+            });
+            dirty |= gate(out, found, format!("udspec: {n} run(s), no spec violations"));
+        }
+        if let Some(check) = &self.replay {
+            let reports = check.reports();
+            for r in &reports {
+                if r.ok() {
+                    let _ = writeln!(
+                        out,
+                        "replay[{}]: {} shard(s), {} window(s), {} event(s) — byte-identical",
+                        r.label, r.shards, r.rounds, r.events
+                    );
+                }
+                for m in &r.mismatches {
+                    dirty = true;
+                    let _ = writeln!(out, "replay[{}] DIVERGED: {m}", r.label);
+                }
+            }
+            if reports.is_empty() {
+                out.push_str("replay: no runs verified\n");
+            }
+        }
+        for c in self.runs.iter().filter_map(|r| r.cost.as_ref()) {
+            let _ = writeln!(
+                out,
+                "udcost[{}]: predicted {:.0} events, {:.0} msgs ({:.0} inter-node), \
+                 imbalance {:.2}x; hints {:?}",
+                c.app, c.total_events, c.total_msgs, c.inter_node_msgs, c.imbalance, c.shard_hints()
+            );
+            for f in &c.findings {
+                dirty |= f.severity == SpecSeverity::Error;
+                let _ = writeln!(out, "udcost[{}] [{}] {}: {}", c.app, f.severity, f.check, f.message);
+            }
+        }
+        dirty
+    }
 }
 
-/// Host-throughput annotation for sweep progress lines: simulated events
-/// retired per *host* second, formatted via [`crate::timing::fmt_rate`].
-///
-/// This figure goes to stdout/stderr next to the simulated-cycle numbers
-/// and is deliberately kept out of every metrics JSON: host throughput
-/// varies run to run, while the metrics files are byte-compared across
-/// engines and thread counts (see docs/perf.md).
-pub fn host_rate(events: u64, secs: f64) -> String {
-    crate::timing::fmt_rate(events, secs)
+/// Write a probe gate's findings, or its clean line when there are none;
+/// returns whether there were findings.
+fn gate(out: &mut String, found: impl Iterator<Item = String>, clean: String) -> bool {
+    let mut dirty = false;
+    for line in found {
+        dirty = true;
+        let _ = writeln!(out, "{line}");
+    }
+    if !dirty {
+        let _ = writeln!(out, "{clean}");
+    }
+    dirty
 }
 
 /// Writes the `--trace` and `--metrics-json` files for the first run of a
@@ -801,6 +611,95 @@ mod tests {
         assert_eq!(o.window_batch, 1, "0 clamps to batching off");
         let o = StdOpts::parse(&cli(&["--steal", "on"]), (32, 256), (1, 3));
         assert!(o.steal);
+    }
+
+    #[test]
+    fn unparseable_flag_value_is_an_error_naming_the_flag() {
+        let e = cli(&["pr", "--nodes", "2x"]).try_opt::<u32>("nodes").unwrap_err();
+        assert!(e.contains("--nodes 2x"), "{e}");
+        assert_eq!(cli(&["--nodes", "2"]).try_opt::<u32>("nodes"), Ok(Some(2)));
+        assert_eq!(cli(&[]).try_opt::<u32>("nodes"), Ok(None));
+    }
+
+    fn instruments(args: &[&str]) -> Instruments {
+        Instruments::try_from_cli(&cli(args)).unwrap()
+    }
+
+    fn arm_machine(ins: &mut Instruments, label: &str) -> MachineConfig {
+        let mut cfg = MachineConfig::small(2, 1, 4);
+        ins.arm(label, &ProgramSpec::new(), |_| Workload::new(), &mut cfg);
+        cfg
+    }
+
+    #[test]
+    fn arming_every_flag_sets_the_instrument_fields() {
+        let mut ins = instruments(&[
+            "--sanitize", "--race", "--spec", "--cost", "--replay",
+            "--checkpoint", "ck.snap", "--checkpoint-every", "4",
+        ]);
+        let cfg = arm_machine(&mut ins, "all");
+        assert!(cfg.sanitize && cfg.record);
+        assert!(cfg.probe.is_some() && cfg.race.is_some() && cfg.replay.is_some());
+        assert!(cfg.enforce_spec.is_some());
+        assert_eq!(cfg.checkpoint_every, 4);
+        assert_eq!(cfg.checkpoint_path, Some(PathBuf::from("ck.snap")));
+        assert_eq!(cfg.restore_path, None);
+        let run = &ins.runs[0];
+        assert!(run.probe.is_some() && run.race.is_some());
+        assert_eq!(cfg.cost_hints, run.cost.as_ref().unwrap().shard_hints());
+        // --checkpoint alone defaults the cadence; --record alone records.
+        let cfg = arm_machine(&mut instruments(&["--checkpoint", "ck.snap", "--record"]), "x");
+        assert_eq!(cfg.checkpoint_every, 8);
+        assert!(cfg.record && cfg.replay.is_none() && cfg.probe.is_none());
+    }
+
+    #[test]
+    fn arming_no_flag_leaves_the_config_untouched() {
+        let mut ins = instruments(&[]);
+        let cfg = arm_machine(&mut ins, "plain");
+        assert_eq!(format!("{cfg:?}"), format!("{:?}", MachineConfig::small(2, 1, 4)));
+        let mut out = String::new();
+        assert!(!ins.report(&mut out));
+        assert_eq!(out, "");
+    }
+
+    #[test]
+    fn checkpoint_paths_go_to_the_first_armed_run_only() {
+        let mut ins = instruments(&["--checkpoint", "ck.snap"]);
+        let first = arm_machine(&mut ins, "first");
+        let second = arm_machine(&mut ins, "second");
+        assert_eq!(first.checkpoint_path, Some(PathBuf::from("ck.snap")));
+        assert_eq!(second.checkpoint_path, None);
+        assert_eq!(second.checkpoint_every, 8, "the cadence applies to every run");
+    }
+
+    #[test]
+    fn every_dirty_gate_reports() {
+        let mut ins = instruments(&["--spec", "--cost"]);
+        // The handler takes one operand and terminates; the spec claims
+        // three operands and no terminate edge.
+        let mut spec = ProgramSpec::new();
+        spec.thread("fixture").event("victim").args(3, 3);
+        let mut cfg = MachineConfig::small(2, 1, 4);
+        ins.arm("lying", &spec, |_| Workload::new(), &mut cfg);
+        let mut eng = updown_sim::Engine::new(cfg);
+        let l = udweave::simple_event(&mut eng, "fixture::victim", |ctx| {
+            let _ = ctx.arg(0);
+            ctx.yield_terminate();
+        });
+        let dst = updown_sim::EventWord::new(updown_sim::NetworkId(0), l);
+        eng.send(dst, [7u64], updown_sim::EventWord::IGNORE);
+        eng.run();
+        ins.runs[0].cost.as_mut().unwrap().findings.push(updown_sim::SpecFinding {
+            severity: SpecSeverity::Error,
+            check: "seeded",
+            subject: "machine".into(),
+            message: "seeded cost error".into(),
+        });
+        let mut out = String::new();
+        assert!(ins.report(&mut out));
+        assert!(out.contains("udspec[lying] "), "{out}");
+        assert!(out.contains("udcost[lying] [error] seeded: seeded cost error"), "{out}");
     }
 
     #[test]

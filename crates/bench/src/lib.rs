@@ -1,7 +1,7 @@
 #![forbid(unsafe_code)]
 //! Shared plumbing for the figure-regeneration binaries: tiny CLI
-//! parsing, gates (sanitize/race/spec/cost/checkpoint/replay), exporters,
-//! and wall-clock timing.
+//! parsing, the [`Instruments`] layer (sanitize/race/spec/cost/checkpoint/
+//! replay), exporters, and wall-clock timing.
 //!
 //! The machine shapes and the graph menu standing in for the paper's
 //! inputs moved to [`updown_apps::harness`] so that analysis tools
@@ -12,9 +12,7 @@
 pub mod cli;
 pub mod timing;
 
-pub use cli::{
-    Checkpoint, Cli, CostGate, Exporter, RaceGate, ReplayGate, Sanitizer, SpecGate, StdOpts,
-};
+pub use cli::{Cli, Exporter, Instruments, StdOpts};
 pub use updown_apps::harness::{
     bench_machine, bench_machine_threads, bench_machine_topo, graph_menu, graph_menu_seeded,
     node_sweep, prepared, prepared_undirected, BENCH_ACCELS, BENCH_LANES,
@@ -23,13 +21,19 @@ pub use updown_apps::harness::{
 use updown_sim::MachineConfig;
 
 impl StdOpts {
-    /// The machine the shared flags ask for: `nodes` nodes at
-    /// `--threads` workers on the `--topology` network, with the
-    /// `--steal`/`--window-batch` scheduler knobs applied.
+    /// The bench machine with `nodes` nodes and the machine flags applied.
     pub fn machine(&self, nodes: u32) -> MachineConfig {
-        let mut cfg = bench_machine_topo(nodes, self.threads, self.topology);
+        let mut cfg = bench_machine(nodes);
+        self.apply(&mut cfg);
+        cfg
+    }
+
+    /// Apply the machine flags to `cfg`: `--threads` workers on the
+    /// `--topology` network with the `--steal`/`--window-batch` knobs.
+    pub fn apply(&self, cfg: &mut MachineConfig) {
+        cfg.threads = self.threads;
+        cfg.net.topology = self.topology;
         cfg.steal = self.steal;
         cfg.window_batch = self.window_batch;
-        cfg
     }
 }

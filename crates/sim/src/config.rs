@@ -584,30 +584,6 @@ impl MachineConfig {
             self.net.intra_accel_latency
         }
     }
-
-    /// Message latency between two lanes under the *uniform* three-tier
-    /// model.
-    ///
-    /// This is no longer the routing authority: cross-node latency depends
-    /// on the configured [`TopologyKind`] and is answered by the fabric
-    /// ([`crate::network::Topology::latency`], reachable at runtime via
-    /// [`crate::Engine::topology`]). This wrapper keeps the historical
-    /// answer — `inter_node_latency` for any remote pair — which matches
-    /// the fabric only for [`TopologyKind::Uniform`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "routing authority moved to the sim::network Topology/Fabric API; use \
-                Engine::topology().latency(..) for cross-node transit and \
-                MachineConfig::local_msg_latency for on-node tiers"
-    )]
-    #[inline]
-    pub fn msg_latency(&self, src: NetworkId, dst: NetworkId) -> u64 {
-        if self.node_of(src) != self.node_of(dst) {
-            self.net.inter_node_latency
-        } else {
-            self.local_msg_latency(src, dst)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -634,19 +610,6 @@ mod tests {
         assert_eq!(cfg.local_msg_latency(a, b), cfg.net.intra_accel_latency);
         assert_eq!(cfg.local_msg_latency(a, c), cfg.net.intra_node_latency);
         assert_eq!(cfg.local_msg_latency(a, a), cfg.net.intra_accel_latency);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_msg_latency_keeps_uniform_answers() {
-        let cfg = MachineConfig::small(2, 2, 4);
-        let a = cfg.nwid(0, 0, 0);
-        let b = cfg.nwid(0, 0, 3);
-        let c = cfg.nwid(0, 1, 0);
-        let d = cfg.nwid(1, 0, 0);
-        assert_eq!(cfg.msg_latency(a, b), cfg.net.intra_accel_latency);
-        assert_eq!(cfg.msg_latency(a, c), cfg.net.intra_node_latency);
-        assert_eq!(cfg.msg_latency(a, d), cfg.net.inter_node_latency);
     }
 
     #[test]

@@ -25,10 +25,10 @@
 //!
 //! **Determinism:** shard count equals node count (fixed by the
 //! [`MachineConfig`]), mailbox entries are merged in `(source shard,
-//! source sequence)` order, and the single-threaded scheduler runs the
+//! source sequence)` order, and the single-threaded engine runs the
 //! *same* window loop with one worker — so the merged event order, every
-//! counter, and every trace span are byte-identical across schedulers and
-//! thread counts.
+//! counter, and every trace span are byte-identical across scheduler modes
+//! and thread counts.
 
 use std::any::{Any, TypeId};
 use std::cell::Cell;
@@ -48,7 +48,6 @@ use crate::message::Message;
 use crate::network::{Fabric, LinkId, Nics, Topology};
 use crate::probe::{DiagKind, Diagnostic, ProbeState, ProtocolProbe};
 use crate::race::{RaceAccess, RaceExec, RaceState, ThreadKey};
-use crate::sched::{Parallel, Scheduler, Sequential};
 use crate::snapshot::{
     self, ReplayRunReport, SnapField, SnapHeader, SnapReader, SnapState, SnapWriter, SnapshotError,
 };
@@ -1685,8 +1684,8 @@ fn worker_loop(w: &WorkerCfg, slots: &[ShardSlot<'_>], is_coord: bool, ctl: &Ctl
 }
 
 /// One scheduler invocation over the engine's shards. Constructed by
-/// [`Engine::run_with`] and consumed by a [`Scheduler`] implementation.
-pub struct EngineRun<'a> {
+/// [`Engine::run`] and consumed by [`run_rounds`].
+pub(crate) struct EngineRun<'a> {
     pub(crate) shards: &'a mut [EngineCore],
     pub(crate) shared: &'a Shared,
     pub(crate) event_limit: u64,
@@ -1712,7 +1711,22 @@ pub struct EngineRun<'a> {
 /// Execute the conservative window rounds with `workers` OS threads.
 /// `workers == 1` runs the identical loop inline — the sequential engine
 /// *is* the parallel engine with one worker, so results agree by
-/// construction.
+/// construction. Because sharding is fixed by the machine configuration
+/// and cross-shard entries merge in a deterministic order, every worker
+/// count produces byte-identical results — the conformance suite in
+/// `tests/` asserts this for every application.
+///
+/// # Pausing at checkpoint boundaries
+///
+/// A run may carry a finite [`EngineRun::round_limit`]. When the
+/// coordinator observes that many completed windows it *pauses* the run
+/// instead of finishing it: workers exit the loop, `run_rounds` drains
+/// both mailbox parities back into the shard calendars (so the paused
+/// state is self-contained), and [`EngineRun::paused`] is set. The engine
+/// then takes a snapshot and resumes with a fresh run whose control block
+/// recomputes the identical window floor — so a paused-and-resumed run is
+/// byte-identical to an uninterrupted one at every thread count. See
+/// `docs/checkpoint.md`.
 pub(crate) fn run_rounds(run: &mut EngineRun<'_>, workers: usize) {
     let n = run.shards.len();
     let workers = workers.min(n).max(1);
@@ -2849,19 +2863,9 @@ impl Engine {
     /// limit is hit. A stopped engine can be run again: the stop flag is
     /// cleared on entry (pending calendar actions resume).
     ///
-    /// Dispatches on [`MachineConfig::threads`]: `1` uses the
-    /// [`Sequential`] scheduler, more uses [`Parallel`]. Results are
-    /// byte-identical either way.
-    pub fn run(&mut self) -> Metrics {
-        if self.shared.cfg.threads > 1 {
-            let threads = self.shared.cfg.threads as usize;
-            self.run_with(&Parallel { threads })
-        } else {
-            self.run_with(&Sequential)
-        }
-    }
-
-    /// Run under an explicit [`Scheduler`].
+    /// Executes the window rounds on [`MachineConfig::threads`] workers
+    /// (`1` runs them inline). Results are byte-identical for every
+    /// thread count.
     ///
     /// When [`MachineConfig::checkpoint_every`] is set the run proceeds
     /// in segments of that many windows; between segments the engine
@@ -2870,7 +2874,7 @@ impl Engine {
     /// invocation folds all in-flight cross-shard entries back into the
     /// per-shard calendars, so segment boundaries are self-contained and
     /// the next segment recomputes the exact same window floors.
-    pub fn run_with(&mut self, sched: &dyn Scheduler) -> Metrics {
+    pub fn run(&mut self) -> Metrics {
         for s in &mut self.shards {
             s.stop = false;
             s.handler_stats.resize(self.shared.handlers.len(), (0, 0));
@@ -2926,7 +2930,7 @@ impl Engine {
                 win_max_peak: 0,
                 host_sched: HostSchedStats::default(),
             };
-            sched.run(&mut run);
+            run_rounds(&mut run, self.shared.cfg.threads.max(1) as usize);
             let (rounds, run_stopped, paused) = (run.rounds, run.stopped, run.paused);
             self.windows += rounds;
             self.sched_win_max_sum += run.win_max_sum;

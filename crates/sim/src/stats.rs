@@ -2,12 +2,6 @@
 //! per-node / per-lane breakdown, phase spans, and the [`Metrics`] report
 //! returned by [`crate::Engine::run`] with a stable JSON export
 //! (`updown-metrics/v1`).
-//!
-//! The pre-observability names are kept as thin deprecated aliases:
-//! `Stats` → [`Counters`], `RunReport` → [`Metrics`]. `Metrics` is a
-//! field-level superset of the old `RunReport`, so existing code that
-//! reads `report.stats.events_executed` or calls `utilization()` keeps
-//! working unchanged.
 
 use std::collections::BTreeMap;
 
@@ -86,10 +80,6 @@ impl Counters {
         self.dram_read_bytes + self.dram_write_bytes
     }
 }
-
-/// Deprecated name of [`Counters`].
-#[deprecated(since = "0.2.0", note = "renamed to `Counters`")]
-pub type Stats = Counters;
 
 /// Number of buckets in the per-node lane-utilization histogram.
 pub const UTIL_HIST_BUCKETS: usize = 10;
@@ -508,10 +498,6 @@ impl Metrics {
         w.finish()
     }
 }
-
-/// Deprecated name of [`Metrics`].
-#[deprecated(since = "0.2.0", note = "replaced by `Metrics`")]
-pub type RunReport = Metrics;
 
 #[cfg(test)]
 mod tests {
